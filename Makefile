@@ -26,11 +26,12 @@ race:
 # CI gate: static checks plus the race detector on the packages that
 # live connections emit through concurrently: the probe spine and its
 # sink adapters (telemetry, the span tracer), the record layer and the
-# macpipe sealing pipeline behind its flight path, the batch-RSA and
-# accel engines, the handshake session cache, perf (whose model-GHz
-# setting is shared mutable state), and the load generator + drift
-# engine — then a real end-to-end smoke through sslload's in-process
-# server.
+# macpipe sealing pipeline behind its flight path, bn and rsa (one
+# PrivateKey serves concurrent handshakes; one Mont serves every
+# batch-RSA worker), the batch-RSA and accel engines, the handshake
+# session cache, perf (whose model-GHz setting is shared mutable
+# state), and the load generator + drift engine — then a real
+# end-to-end smoke through sslload's in-process server.
 check:
 	$(GO) vet ./...
 	$(MAKE) clocklint
@@ -38,7 +39,8 @@ check:
 	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
-		./internal/ssl/... ./internal/record/... ./internal/macpipe/... ./internal/rsabatch/... \
+		./internal/ssl/... ./internal/record/... ./internal/macpipe/... \
+		./internal/bn/... ./internal/rsa/... ./internal/rsabatch/... \
 		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
@@ -134,6 +136,9 @@ bench:
 	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/rsabatch/ -bench BenchmarkBatchDecrypt \
 		-count 3 -name rsa-batch-amortization -out docs/BENCH_rsa_batch.json \
 		-note "Fiat batch RSA over a 1024-bit shared modulus: decrypts/s at batch width 1 (per-request CRT, the engine's singleton path) vs one full-size exponentiation amortized over 2/4/8 concurrent requests. Speedup is ops/s relative to batch=1."
+	$(GO) run ./cmd/benchjson -quiet -pkg ./ -bench BenchmarkTable7RSADecrypt \
+		-count 3 -name rsa-decrypt -out docs/BENCH_rsa.json \
+		-note "Table 7 blinded CRT RSA decryption at 512 and 1024 bits on the allocation-free Montgomery layer: each exponentiation works in one caller-owned slab (window table, accumulator, product buffer, Karatsuba scratch) with a masked table scan and a branch-free final subtraction. The shape gate holds allocs/op at or under 100 at both sizes, down from ~2k and ~4k when every Montgomery multiply allocated its product."
 	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/record/ -bench 'BenchmarkRecord(Seal|Open)' \
 		-count 3 -name record-seal-allocs -out docs/BENCH_record.json \
 		-note "Record-layer seal/open with the pooled seal buffer and in-place MAC: steady state is one amortized allocation per sealed record (the sync.Pool interface box), down from a fresh MaxFragment buffer plus MAC scratch per record."
@@ -152,6 +157,7 @@ bench:
 	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench 'Benchmark(NonBlock|GoroutinePerConn|IdleConns)' \
 		-count 3 -name nonblock -out docs/BENCH_nonblock.json \
 		-note "Sans-IO core economics: NonBlockHandshake steps the resumable FSM pair entirely in memory vs GoroutinePerConnHandshake's blocking wrappers over the pipe (same crypto, so the two must stay within 1.5x), IdleConns holds b.N established idle server conns and attributes the settled heap+stack bytes per connection — the event-loop flavor keeps only the NonBlockingConn core, the goroutine flavor also parks the per-conn serve goroutine in Read — and NonBlockReadSteady is the zero-allocation steady-state seal/feed/read round trip. The shape gate pins eventloop bytes/conn strictly below goroutine bytes/conn and the read path at 0 allocs/op."
+	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench BenchmarkBulkPath \
 		-count 3 -name bulk-path -out docs/BENCH_bulk.json \
 		-note "Bulk-path cycles/byte per suite from the pathlen collector riding the server's probe spine: 16KB records written through the full record layer, cipher and MAC cost attributed per primitive (the live Tables 11/12), plus the syscall story — writes/record (1.0 contiguous seal, ~1/64 vectored) and MB/s + records/s for the -seq1m (1MiB writes, flight off) vs -vec (flight pipeline) pair. The shape gate holds RC4 cheaper than AES, MD5 cheaper than SHA-1, 3DES a multiple of DES, writes/record at or under 1, and vectored throughput at or above the same-size sequential baseline."
 

@@ -105,6 +105,25 @@ func TestBatchShape(t *testing.T) {
 	}
 }
 
+func TestRSADecryptShape(t *testing.T) {
+	good := report("rsa-decrypt", map[string]map[string]float64{
+		"Table7RSADecrypt/512": {"allocs/op": 43, "ns/op": 190000},
+		"Table7RSADecrypt/1KB": {"allocs/op": 43, "ns/op": 800000},
+	})
+	if v, known := CheckShape(good); !known || len(v) != 0 {
+		t.Fatalf("good rsa-decrypt shape rejected: %v", v)
+	}
+	good.Results["Table7RSADecrypt/1KB"].Metrics["allocs/op"] = 3983
+	v, _ := CheckShape(good)
+	if len(v) != 1 || !strings.Contains(v[0].Detail, "1KB") {
+		t.Fatalf("allocating 1KB decrypt not flagged by name: %v", v)
+	}
+	delete(good.Results, "Table7RSADecrypt/512")
+	if v, _ := CheckShape(good); len(v) != 2 {
+		t.Fatalf("missing 512 point not flagged: %v", v)
+	}
+}
+
 func TestRecordAndTraceShapes(t *testing.T) {
 	rec := report("record-seal-allocs", map[string]map[string]float64{
 		"RecordSeal/RC4-MD5": {"allocs/op": 1},

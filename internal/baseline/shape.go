@@ -24,6 +24,8 @@ func CheckShape(r *Report) (violations []Violation, known bool) {
 	switch r.Bench {
 	case "rsa-batch-amortization":
 		return checkBatchShape(r), true
+	case "rsa-decrypt":
+		return checkRSADecryptShape(r), true
 	case "record-seal-allocs":
 		return checkRecordShape(r), true
 	case "trace-overhead":
@@ -325,6 +327,29 @@ func checkBatchShape(r *Report) []Violation {
 				fmt.Sprintf("batch=%d speedup %.2fx fell below 80%% of batch=%d's %.2fx", n, s, n/2, prev)})
 		}
 		prev = s
+	}
+	return out
+}
+
+// rsaDecryptMaxAllocs caps one blinded CRT decryption's allocations:
+// the Montgomery layer works in one slab per exponentiation, so what
+// remains is a constant of bignum bookkeeping around it (~43 today),
+// not the ~4k per-multiplication products it used to make.
+const rsaDecryptMaxAllocs = 100
+
+// checkRSADecryptShape pins the allocation-free Montgomery layer at
+// both Table 7 key sizes.
+func checkRSADecryptShape(r *Report) []Violation {
+	var out []Violation
+	for _, name := range []string{"Table7RSADecrypt/512", "Table7RSADecrypt/1KB"} {
+		allocs, ok := r.Metric(name, "allocs/op")
+		switch {
+		case !ok:
+			out = append(out, Violation{"rsa-decrypt-allocs", name + " allocs/op missing"})
+		case allocs > rsaDecryptMaxAllocs:
+			out = append(out, Violation{"rsa-decrypt-allocs",
+				fmt.Sprintf("%s allocs/op %.0f, want <= %d (Montgomery products allocating again?)", name, allocs, rsaDecryptMaxAllocs)})
+		}
 	}
 	return out
 }

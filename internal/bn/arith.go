@@ -10,6 +10,7 @@ package bn
 func addWords(z, x, y []Word) Word {
 	profEnter(fnAddWords)
 	var carry uint64
+	z, y = z[:len(x)], y[:len(x)]
 	for i := range x {
 		s := uint64(x[i]) + uint64(y[i]) + carry
 		z[i] = Word(s)
@@ -24,6 +25,7 @@ func addWords(z, x, y []Word) Word {
 func subWords(z, x, y []Word) Word {
 	profEnter(fnSubWords)
 	var borrow uint64
+	z, y = z[:len(x)], y[:len(x)]
 	for i := range x {
 		d := uint64(x[i]) - uint64(y[i]) - borrow
 		z[i] = Word(d)
@@ -37,14 +39,29 @@ func subWords(z, x, y []Word) Word {
 // propagation, returning the final carry. This is the hot inner loop
 // of both multiplication and Montgomery reduction — the paper's
 // bn_mul_add_words, whose per-limb body (load, widening multiply, two
-// adds, two adds-with-carry, store) is reproduced in Table 9.
+// adds, two adds-with-carry, store) is reproduced in Table 9. Like
+// bn_asm.c's C kernel, the loop body is unrolled four limbs at a time.
 func mulAddWords(z, x []Word, y Word) Word {
 	profEnter(fnMulAddWords)
 	var carry uint64
 	yy := uint64(y)
-	for i := range x {
+	z = z[:len(x)] // lets the compiler drop the z[i] bounds check
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
 		// t = z[i] + x[i]*y + carry; fits in 64 bits because
 		// (B-1) + (B-1)^2 + (B-1) = B^2 - 1 for B = 2^32.
+		zz, xx := z[i:i+4:i+4], x[i:i+4:i+4]
+		t := uint64(zz[0]) + uint64(xx[0])*yy + carry
+		zz[0] = Word(t)
+		t = uint64(zz[1]) + uint64(xx[1])*yy + t>>WordBits
+		zz[1] = Word(t)
+		t = uint64(zz[2]) + uint64(xx[2])*yy + t>>WordBits
+		zz[2] = Word(t)
+		t = uint64(zz[3]) + uint64(xx[3])*yy + t>>WordBits
+		zz[3] = Word(t)
+		carry = t >> WordBits
+	}
+	for ; i < len(x); i++ {
 		t := uint64(z[i]) + uint64(x[i])*yy + carry
 		z[i] = Word(t)
 		carry = t >> WordBits

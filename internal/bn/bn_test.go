@@ -485,12 +485,28 @@ func TestNewMontRejectsBadModulus(t *testing.T) {
 
 func TestModInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	for i := 0; i < 100; i++ {
-		n := New().SetBytes(randBytes(r, 2+r.Intn(16)))
+	for i := 0; i < 300; i++ {
+		// Small moduli of both parities (an even one is inverted
+		// through the odd base), then odd RSA-sized ones, with bases
+		// that may exceed N, be negative, or share a factor with N.
+		size := 2 + r.Intn(16)
+		if i >= 100 {
+			size = 16 + r.Intn(120)
+		}
+		n := New().SetBytes(randBytes(r, size))
+		if i >= 100 {
+			n.d[0] |= 1
+		}
 		if n.Sign() <= 0 || n.IsOne() {
 			continue
 		}
-		x := New().SetBytes(randBytes(r, 1+r.Intn(16)))
+		x := New().SetBytes(randBytes(r, 1+r.Intn(size+4)))
+		switch i % 5 {
+		case 1:
+			x.Neg(x)
+		case 2:
+			x.Mul(x, NewInt(3*5*7)) // shares a factor with n about half the time
+		}
 		inv := New().ModInverse(x, n)
 		g := New().GCD(x, n)
 		if !g.IsOne() {
@@ -503,8 +519,8 @@ func TestModInverse(t *testing.T) {
 			t.Fatalf("ModInverse(%s, %s) = nil but gcd is 1", x, n)
 		}
 		prod := New().Mod(New().Mul(x, inv), n)
-		if !prod.IsOne() {
-			t.Fatalf("x*inv mod n = %s, want 1", prod)
+		if !prod.IsOne() || inv.Sign() <= 0 || inv.Cmp(n) >= 0 {
+			t.Fatalf("ModInverse(%s, %s) = %s: x*inv mod n = %s, want 1 with inv in [1, n)", x, n, inv, prod)
 		}
 	}
 }
@@ -623,22 +639,31 @@ func TestProfileAttributesMulAddWords(t *testing.T) {
 	}
 }
 
+// TestProfileExclusiveTime pins the structure exclusive-time
+// attribution rests on, by call counts rather than timings: an n×n
+// schoolbook Mul opens one BN_mul frame and exactly n bn_mul_add_words
+// frames nested under it, so the kernel's time is charged to the
+// kernel and only the loop overhead to BN_mul.
 func TestProfileExclusiveTime(t *testing.T) {
-	b := StartProfile()
-	// BN_mul calls mulAddWords; exclusive accounting must charge most
-	// of the time to the kernel, not the caller.
-	a := New()
-	a.Rand(newRandReader(99), 4096, false)
-	for i := 0; i < 50; i++ {
-		New().Mul(a, a)
+	const limbs, iters = 64, 50
+	a, _ := New().Rand(newRandReader(99), limbs*WordBits, false)
+	var b *perf.Breakdown
+	withMode(MulSchoolbook, func() {
+		b = StartProfile()
+		for i := 0; i < iters; i++ {
+			New().Mul(a, a)
+		}
+		StopProfile()
+	})
+	if got := b.Count(fnMul); got != iters {
+		t.Fatalf("BN_mul frames = %d, want %d", got, iters)
 	}
-	StopProfile()
-	if b.Elapsed(fnMulAddWords) == 0 || b.Elapsed(fnMul) == 0 {
-		t.Fatalf("missing attributions: %v", b.Samples())
+	if got := b.Count(fnMulAddWords); got != iters*limbs {
+		t.Fatalf("bn_mul_add_words frames = %d, want %d (%d per %d-limb Mul)",
+			got, iters*limbs, limbs, limbs)
 	}
-	if b.Elapsed(fnMul) >= b.Elapsed(fnMulAddWords) {
-		t.Fatalf("caller self time %v >= kernel time %v",
-			b.Elapsed(fnMul), b.Elapsed(fnMulAddWords))
+	if names := b.Names(); len(names) != 2 {
+		t.Fatalf("profile regions = %v, want only BN_mul and bn_mul_add_words", names)
 	}
 }
 

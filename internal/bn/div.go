@@ -67,14 +67,17 @@ func udiv(x, y []Word) (q, r []Word) {
 		copy(r, x)
 		return nil, r
 	}
+	// One allocation holds the quotient, the remainder and the two
+	// normalized operands; q and r are capped so a later append to
+	// either cannot run into the other.
+	buf := make([]Word, (m+1)+n+n+(len(x)+1))
+	q, r = buf[:m+1:m+1], buf[m+1:m+1+n:m+1+n]
+	vn, un := buf[m+1+n:m+1+2*n], buf[m+1+2*n:]
 	// Normalize: shift so the top bit of the top divisor limb is set.
 	shift := uint(bits.LeadingZeros32(y[n-1]))
-	vn := make([]Word, n)
 	shlWords(vn, y, shift)
-	un := make([]Word, len(x)+1)
 	un[len(x)] = shlWordsExt(un[:len(x)], x, shift)
 
-	q = make([]Word, m+1)
 	const b = 1 << 32
 	for j := m; j >= 0; j-- {
 		// Estimate qhat from the top two limbs of un against the
@@ -114,14 +117,14 @@ func udiv(x, y []Word) (q, r []Word) {
 		q[j] = Word(qhat)
 	}
 	// Denormalize remainder.
-	r = make([]Word, n)
 	shrWords(r, un[:n], shift)
 	return q, r
 }
 
 // udivWord divides x by a single limb d.
 func udivWord(x []Word, d Word) (q, r []Word) {
-	q = make([]Word, len(x))
+	buf := make([]Word, len(x)+1)
+	q = buf[:len(x):len(x)]
 	var rem uint64
 	for i := len(x) - 1; i >= 0; i-- {
 		cur := rem<<32 | uint64(x[i])
@@ -129,7 +132,8 @@ func udivWord(x []Word, d Word) (q, r []Word) {
 		rem = cur % uint64(d)
 	}
 	if rem != 0 {
-		r = []Word{Word(rem)}
+		r = buf[len(x):]
+		r[0] = Word(rem)
 	}
 	return q, r
 }

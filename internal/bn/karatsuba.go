@@ -1,12 +1,15 @@
 package bn
 
+import "sync/atomic"
+
 // Karatsuba multiplication, matching the algorithm OpenSSL 0.9.7 used
 // (bn_mul_recursive): the subtractive variant whose difference terms
 // are what put bn_sub_words at 22.6% of RSA decryption in the paper's
 // Table 8. Schoolbook multiplication remains available (and is the
 // base case); SetMulMode switches between them so the Table 8
 // ablation can show how the choice moves time between the word
-// kernels.
+// kernels. Like bn_mul_recursive's t argument, every temporary lives
+// in caller-owned scratch: the recursion allocates nothing.
 
 // MulMode selects the multiplication algorithm for large operands.
 type MulMode int
@@ -30,118 +33,147 @@ const (
 // RSA-1024 with CRT works on 16-limb halves, so at the default
 // threshold its Montgomery products stay schoolbook — Karatsuba
 // engages from RSA-2048, or at the lowered threshold.
-var karatsubaThreshold = 16
+//
+// Both knobs are atomics so concurrent arithmetic may run while an
+// experiment flips them; each multiplication or exponentiation reads
+// them once (see mulConfig) and sizes its scratch from that snapshot.
+var (
+	karatsubaThreshold atomic.Int32
+	mulMode            atomic.Int32
+)
 
-// SetKaratsubaThreshold sets the recursion cutoff in limbs and
-// returns the previous value. Not safe to call concurrently with
-// arithmetic.
-func SetKaratsubaThreshold(limbs int) int {
-	prev := karatsubaThreshold
-	if limbs >= 2 {
-		karatsubaThreshold = limbs
-	}
-	return prev
+func init() {
+	karatsubaThreshold.Store(16)
+	mulMode.Store(int32(MulKaratsuba))
 }
 
-var mulMode = MulKaratsuba
+// SetKaratsubaThreshold sets the recursion cutoff in limbs and
+// returns the previous value. Calls already in flight keep the
+// cutoff they started with.
+func SetKaratsubaThreshold(limbs int) int {
+	if limbs < 2 {
+		return int(karatsubaThreshold.Load())
+	}
+	return int(karatsubaThreshold.Swap(int32(limbs)))
+}
 
 // SetMulMode selects the multiplication algorithm and returns the
-// previous mode. Not safe to call concurrently with arithmetic.
+// previous mode. Calls already in flight keep the mode they started
+// with.
 func SetMulMode(m MulMode) MulMode {
-	prev := mulMode
-	mulMode = m
-	return prev
+	return MulMode(mulMode.Swap(int32(m)))
 }
 
 // CurrentMulMode reports the active multiplication mode.
-func CurrentMulMode() MulMode { return mulMode }
+func CurrentMulMode() MulMode { return MulMode(mulMode.Load()) }
 
-// mulSlices dispatches x*y on raw limb slices, returning a fresh
-// product slice of len(x)+len(y) limbs (unnormalized).
-func mulSlices(x, y []Word) []Word {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	if mulMode == MulKaratsuba &&
-		len(x) > karatsubaThreshold && len(y) > karatsubaThreshold {
-		// Pad to a common even length.
-		n := len(x)
-		if len(y) > n {
-			n = len(y)
-		}
-		if n%2 == 1 {
-			n++
-		}
-		xp := padTo(x, n)
-		yp := padTo(y, n)
-		prod := kmul(xp, yp)
-		return prod[:len(x)+len(y)]
-	}
-	return schoolbookMul(x, y)
+// mulConfig is one snapshot of the multiplication knobs.
+type mulConfig struct {
+	karatsuba bool
+	thr       int
 }
 
-func padTo(x []Word, n int) []Word {
-	if len(x) == n {
-		return x
+func loadMulConfig() mulConfig {
+	return mulConfig{
+		karatsuba: MulMode(mulMode.Load()) == MulKaratsuba,
+		thr:       int(karatsubaThreshold.Load()),
 	}
-	out := make([]Word, n)
-	copy(out, x)
-	return out
 }
 
-// schoolbookMul is the O(n²) base case driven by mulAddWords.
-func schoolbookMul(x, y []Word) []Word {
-	out := make([]Word, len(x)+len(y))
-	for j := 0; j < len(y); j++ {
-		yw := y[j]
-		if yw == 0 {
-			continue
-		}
-		out[j+len(x)] = mulAddWords(out[j:j+len(x)], x, yw)
+// engages reports whether an n×n-limb product recurses, and the limb
+// width its operands must be padded to (Karatsuba splits even lengths
+// only).
+func (c mulConfig) engages(n int) (bool, int) {
+	if !c.karatsuba || n <= c.thr {
+		return false, n
 	}
-	return out
+	return true, n + n%2
 }
 
-// kmul multiplies equal-length slices (len even or below threshold),
-// returning 2n limbs. The subtractive Karatsuba identity:
+// scratch returns the scratch limbs kmul and ksqr need for n-limb
+// operands.
+func (c mulConfig) scratch(n int) int {
+	if n <= c.thr || n%2 == 1 {
+		return 0
+	}
+	m := n / 2
+	return 6*m + 1 + c.scratch(m)
+}
+
+// schoolbookMul sets z (len(x)+len(y) limbs) = x·y with the O(n²)
+// mul-add loop. Every limb of y takes one mulAddWords pass, zero or
+// not, so the work does not depend on the operand values.
+func schoolbookMul(z, x, y []Word) {
+	clear(z[:len(x)])
+	for j, yw := range y {
+		z[j+len(x)] = mulAddWords(z[j:j+len(x)], x, yw)
+	}
+}
+
+// kmul sets z (2n limbs) = x·y for equal-length x, y (n limbs) with
+// scratch t of at least c.scratch(n) limbs, recursing while Karatsuba
+// is on and n is even and above the cutoff. The subtractive Karatsuba
+// identity:
 //
 //	x = x1·B^m + x0,  y = y1·B^m + y0,  m = n/2
 //	z0 = x0·y0, z2 = x1·y1
 //	middle = z0 + z2 + (x0−x1)(y1−y0)
 //	x·y = z2·B^2m + middle·B^m + z0
-func kmul(x, y []Word) []Word {
+func (c mulConfig) kmul(z, x, y, t []Word) {
 	n := len(x)
-	if n <= karatsubaThreshold || n%2 == 1 {
-		return schoolbookMul(x, y)
+	if !c.karatsuba || n <= c.thr || n%2 == 1 {
+		schoolbookMul(z, x, y)
+		return
 	}
 	m := n / 2
 	x0, x1 := x[:m], x[m:]
 	y0, y1 := y[:m], y[m:]
+	z0, z2 := z[:2*m], z[2*m:2*n]
+	c.kmul(z0, x0, y0, t)
+	c.kmul(z2, x1, y1, t)
 
-	z0 := kmul(x0, y0)
-	z2 := kmul(x1, y1)
-
-	d1, neg1 := absDiff(x0, x1) // x0 - x1
-	d2, neg2 := absDiff(y1, y0) // y1 - y0
-	z1 := kmul(d1, d2)
-	z1Negative := neg1 != neg2
+	d1, d2, z1, mid, rest := t[:m], t[m:2*m], t[2*m:4*m], t[4*m:6*m+1], t[6*m+1:]
+	neg1 := absDiff(d1, x0, x1) // x0 - x1
+	neg2 := absDiff(d2, y1, y0) // y1 - y0
+	c.kmul(z1, d1, d2, rest)
 
 	// middle (2m+1 limbs) = z0 + z2 ± z1.
-	mid := make([]Word, 2*m+1)
 	copy(mid, z0)
+	mid[2*m] = 0
 	addTo(mid, z2)
-	if z1Negative {
+	if neg1 != neg2 {
 		subFrom(mid, z1)
 	} else {
 		addTo(mid, z1)
 	}
+	// z already holds z2·B^2m + z0; add middle·B^m.
+	addTo(z[m:2*n], mid)
+}
 
-	// result = z2·B^2m + mid·B^m + z0.
-	res := make([]Word, 2*n)
-	copy(res[:2*m], z0)
-	copy(res[2*m:], z2)
-	addTo(res[m:], mid)
-	return res
+// ksqr is kmul for x·x (bn_sqr_recursive): the difference term
+// (x0−x1)² is never negative, so middle = z0 + z2 − (x0−x1)².
+// Below the threshold it bottoms out in the dedicated squaring.
+func (c mulConfig) ksqr(z, x, t []Word) {
+	n := len(x)
+	if !c.karatsuba || n <= c.thr || n%2 == 1 {
+		sqrWords(z, x)
+		return
+	}
+	m := n / 2
+	x0, x1 := x[:m], x[m:]
+	z0, z2 := z[:2*m], z[2*m:2*n]
+	c.ksqr(z0, x0, t)
+	c.ksqr(z2, x1, t)
+
+	d, z1, mid, rest := t[:m], t[m:3*m], t[3*m:5*m+1], t[5*m+1:]
+	absDiff(d, x0, x1)
+	c.ksqr(z1, d, rest)
+
+	copy(mid, z0)
+	mid[2*m] = 0
+	addTo(mid, z2)
+	subFrom(mid, z1)
+	addTo(z[m:2*n], mid)
 }
 
 // addTo adds x into z in place (len(x) <= len(z)), propagating the
@@ -166,15 +198,14 @@ func subFrom(z, x []Word) {
 	}
 }
 
-// absDiff returns |a−b| (same length as a and b, which must be equal
-// length) and whether a < b. The comparison plus subtraction is the
-// bn_sub_words traffic Karatsuba is known for.
-func absDiff(a, b []Word) ([]Word, bool) {
-	out := make([]Word, len(a))
+// absDiff sets out = |a−b| (a, b and out of equal length) and reports
+// whether a < b. The comparison plus subtraction is the bn_sub_words
+// traffic Karatsuba is known for.
+func absDiff(out, a, b []Word) bool {
 	if cmpWords(a, b) >= 0 {
 		subWords(out, a, b)
-		return out, false
+		return false
 	}
 	subWords(out, b, a)
-	return out, true
+	return true
 }

@@ -107,38 +107,35 @@ func TestSetMulModeReturnsPrevious(t *testing.T) {
 	}
 }
 
-// The paper's Table 8 signature: under Karatsuba, bn_sub_words does
-// real work (the difference terms); under schoolbook it is nearly
-// absent from multiplication.
+// The paper's Table 8 signature, by call counts: under Karatsuba,
+// bn_sub_words does real work (the difference terms); under schoolbook
+// multiplication never calls it. A 64-limb product at the 16-limb
+// cutoff recurses twice into nine 16-limb schoolbook leaves, so the
+// mul-add kernel runs 9·16 times instead of 64.
 func TestKaratsubaShiftsTimeToSubWords(t *testing.T) {
 	rnd := newRandReader(24)
 	x, _ := New().Rand(rnd, 2048, false)
 	y, _ := New().Rand(rnd, 2048, false)
 
-	measure := func(mode MulMode) (sub, mul float64) {
-		var b *perfBreakdown
-		withMode(mode, func() {
-			bb := StartProfile()
-			for i := 0; i < 200; i++ {
-				New().Mul(x, y)
-			}
+	measure := func(mode MulMode) (sub, mulAdd int) {
+		withConfig(mode, 16, func() {
+			b := StartProfile()
+			New().Mul(x, y)
 			StopProfile()
-			b = &perfBreakdown{bb.Percent(fnSubWords), bb.Percent(fnMulAddWords)}
+			sub, mulAdd = b.Count(fnSubWords), b.Count(fnMulAddWords)
 		})
-		return b.sub, b.mul
+		return sub, mulAdd
 	}
-	kSub, _ := measure(MulKaratsuba)
-	sSub, sMul := measure(MulSchoolbook)
+	kSub, kMulAdd := measure(MulKaratsuba)
+	sSub, sMulAdd := measure(MulSchoolbook)
 	if kSub <= sSub {
-		t.Fatalf("karatsuba bn_sub_words share %.2f%% not above schoolbook's %.2f%%",
-			kSub, sSub)
+		t.Fatalf("karatsuba bn_sub_words calls %d not above schoolbook's %d", kSub, sSub)
 	}
-	if sMul < 70 {
-		t.Fatalf("schoolbook should be mostly bn_mul_add_words, got %.2f%%", sMul)
+	if sMulAdd != 64 || kMulAdd != 9*16 {
+		t.Fatalf("bn_mul_add_words calls: schoolbook %d (want 64), karatsuba %d (want 144)",
+			sMulAdd, kMulAdd)
 	}
 }
-
-type perfBreakdown struct{ sub, mul float64 }
 
 func BenchmarkMul1024(b *testing.B) {
 	rnd := newRandReader(25)

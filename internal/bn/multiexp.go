@@ -14,56 +14,33 @@ import "math/bits"
 // window table, so for the small public exponents batch RSA works
 // with (e ≤ 2^27 or so) the cost is just the squaring chain — the
 // 16-entry table Exp precomputes would dwarf the exponentiation
-// itself.
+// itself. The exponent is public, so the chain may skip multiplies.
 func (m *Mont) ExpUint64(z, x *Int, e uint64) *Int {
 	if e == 0 {
 		return z.SetUint64(1)
 	}
-	var b Int
-	b.Mod(x, m.N)
-	g := m.ToMont(New(), &b)
-	acc := New().Set(g)
+	var ws montWS
+	ops := ws.init(m, 2)
+	g, acc := ops[:ws.np], ops[ws.np:]
+	ws.toMont(g, reduced(x, m.N))
+	copy(acc, g)
 	for i := bits.Len64(e) - 2; i >= 0; i-- {
-		m.SqrMont(acc, acc)
+		ws.sqr(acc, acc)
 		if e>>uint(i)&1 == 1 {
-			m.MulMont(acc, acc, g)
+			ws.mul(acc, acc, g)
 		}
 	}
-	return m.FromMont(z, acc)
+	ws.fromMont(acc, acc)
+	return ws.store(z, acc)
 }
 
 // Exp2Uint64 is Exp2 for machine-word exponents: z = x1^e1 · x2^e2
 // mod m.N over one shared squaring chain.
 func (m *Mont) Exp2Uint64(z, x1 *Int, e1 uint64, x2 *Int, e2 uint64) *Int {
-	if e1 == 0 && e2 == 0 {
-		return z.SetUint64(1)
-	}
-	var b1, b2 Int
-	b1.Mod(x1, m.N)
-	b2.Mod(x2, m.N)
-	g1 := m.ToMont(New(), &b1)
-	g2 := m.ToMont(New(), &b2)
-	g12 := m.MulMont(New(), g1, g2)
-	table := [3]*Int{g1, g2, g12}
-	n := bits.Len64(e1)
-	if n2 := bits.Len64(e2); n2 > n {
-		n = n2
-	}
-	var acc *Int
-	for i := n - 1; i >= 0; i-- {
-		if acc != nil {
-			m.SqrMont(acc, acc)
-		}
-		w := e1>>uint(i)&1 | e2>>uint(i)&1<<1
-		if w != 0 {
-			if acc == nil {
-				acc = New().Set(table[w-1])
-			} else {
-				m.MulMont(acc, acc, table[w-1])
-			}
-		}
-	}
-	return m.FromMont(z, acc)
+	n := max(bits.Len64(e1), bits.Len64(e2))
+	return m.exp2(z, x1, x2, n, func(i int) int {
+		return int(e1>>uint(i)&1 | e2>>uint(i)&1<<1)
+	})
 }
 
 // Exp2 sets z = x1^e1 · x2^e2 mod m.N using Shamir's simultaneous
@@ -76,38 +53,46 @@ func (m *Mont) Exp2(z, x1, e1, x2, e2 *Int) *Int {
 	if e1.Sign() < 0 || e2.Sign() < 0 {
 		panic("bn: Exp2 negative exponent")
 	}
-	if e1.IsZero() && e2.IsZero() {
+	n := max(e1.BitLen(), e2.BitLen())
+	return m.exp2(z, x1, x2, n, func(i int) int {
+		return int(e1.Bit(i) | e2.Bit(i)<<1)
+	})
+}
+
+// exp2 runs the shared chain of Exp2 and Exp2Uint64 over n exponent
+// bits; bit(i) returns the 2-bit window (e1's bit | e2's bit << 1).
+func (m *Mont) exp2(z, x1, x2 *Int, n int, bit func(i int) int) *Int {
+	if n == 0 {
 		return z.SetUint64(1)
 	}
-	var b1, b2 Int
-	b1.Mod(x1, m.N)
-	b2.Mod(x2, m.N)
-	g1 := m.ToMont(New(), &b1)
-	g2 := m.ToMont(New(), &b2)
-	g12 := m.MulMont(New(), g1, g2)
-	table := [3]*Int{g1, g2, g12}
-
-	bits := e1.BitLen()
-	if n2 := e2.BitLen(); n2 > bits {
-		bits = n2
-	}
-	// acc stays nil through the leading zero window so the chain
-	// starts at the first set bit instead of squaring 1.
-	var acc *Int
-	for i := bits - 1; i >= 0; i-- {
-		if acc != nil {
-			m.SqrMont(acc, acc)
+	var ws montWS
+	ops := ws.init(m, 4)
+	np := ws.np
+	acc, table := ops[:np], ops[np:]
+	g1, g2, g12 := table[:np], table[np:2*np], table[2*np:]
+	ws.toMont(g1, reduced(x1, m.N))
+	ws.toMont(g2, reduced(x2, m.N))
+	ws.mul(g12, g1, g2)
+	// The chain starts at the first set bit instead of squaring 1.
+	started := false
+	for i := n - 1; i >= 0; i-- {
+		if started {
+			ws.sqr(acc, acc)
 		}
-		w := e1.Bit(i) | e2.Bit(i)<<1
-		if w != 0 {
-			if acc == nil {
-				acc = New().Set(table[w-1])
-			} else {
-				m.MulMont(acc, acc, table[w-1])
-			}
+		w := bit(i)
+		if w == 0 {
+			continue
+		}
+		g := table[(w-1)*np : w*np]
+		if started {
+			ws.mul(acc, acc, g)
+		} else {
+			copy(acc, g)
+			started = true
 		}
 	}
-	return m.FromMont(z, acc)
+	ws.fromMont(acc, acc)
+	return ws.store(z, acc)
 }
 
 // ModExp2 sets z = x1^e1 · x2^e2 mod N and returns z. For odd N it

@@ -64,7 +64,16 @@ func (z *Int) ProbablyPrime(rnd io.Reader, rounds int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	var a, x Int
+	// Every round runs in Montgomery form in one workspace: the
+	// squarings of a^d compare against the Montgomery forms of 1 and
+	// z-1 (the map x -> x·R is a bijection mod z).
+	var ws montWS
+	ops := ws.init(m, 4+1<<expWindow)
+	np := ws.np
+	acc, one, minusOne := ops[:np], ops[np:2*np], ops[2*np:3*np]
+	ws.one(one)
+	ws.toMont(minusOne, nm1)
+	var a Int
 	for i := 0; i < rounds; i++ {
 		// Random base in [2, z-2].
 		if _, err := a.RandRange(rnd, nm1); err != nil {
@@ -73,20 +82,18 @@ func (z *Int) ProbablyPrime(rnd io.Reader, rounds int) (bool, error) {
 		if a.IsOne() {
 			continue
 		}
-		m.Exp(&x, &a, d)
-		if x.IsOne() || x.Equal(nm1) {
+		ws.expMont(acc, ops[3*np:], &a, d)
+		if equalWords(acc, one) || equalWords(acc, minusOne) {
 			continue
 		}
 		witness := true
 		for r := 1; r < s; r++ {
-			var sq Int
-			sq.Sqr(&x)
-			x.Mod(&sq, z)
-			if x.Equal(nm1) {
+			ws.sqr(acc, acc)
+			if equalWords(acc, minusOne) {
 				witness = false
 				break
 			}
-			if x.IsOne() {
+			if equalWords(acc, one) {
 				return false, nil
 			}
 		}
@@ -95,6 +102,15 @@ func (z *Int) ProbablyPrime(rnd io.Reader, rounds int) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// equalWords reports whether two equal-length limb slices match.
+func equalWords(x, y []Word) bool {
+	var diff Word
+	for i, w := range x {
+		diff |= w ^ y[i]
+	}
+	return diff == 0
 }
 
 // GeneratePrime returns a random prime with exactly bits bits and the

@@ -1,6 +1,7 @@
 package bn
 
 import (
+	"sync/atomic"
 	"time"
 
 	"sslperf/internal/perf"
@@ -31,10 +32,13 @@ const (
 // loop is bn_mul_add_words, so the loop's time shows up under
 // bn_mul_add_words and only the remainder under BN_from_montgomery.
 //
-// Profiling is process-global and not safe for concurrent use; it is
-// meant for single-goroutine experiment runs, like the paper's.
+// Profiling is process-global and meant for single-goroutine
+// experiment runs, like the paper's: the frame stack is not safe for
+// concurrent use. The enabled flag is atomic, so arithmetic on other
+// goroutines while no profile runs (concurrent handshakes, batch-RSA
+// workers) only ever reads it.
 type profiler struct {
-	enabled bool
+	enabled atomic.Bool
 	stack   []profFrame
 	b       *perf.Breakdown
 	// overhead is the calibrated cost of one enter/exit pair that is
@@ -58,7 +62,7 @@ func StartProfile() *perf.Breakdown {
 	calibrateOnce()
 	prof.b = perf.NewBreakdown()
 	prof.stack = prof.stack[:0]
-	prof.enabled = true
+	prof.enabled.Store(true)
 	return prof.b
 }
 
@@ -74,7 +78,7 @@ func calibrateOnce() {
 	calibrated = true
 	prof.b = perf.NewBreakdown()
 	prof.stack = prof.stack[:0]
-	prof.enabled = true
+	prof.enabled.Store(true)
 	const n = 20000
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -83,7 +87,7 @@ func calibrateOnce() {
 	}
 	wall := time.Since(start)
 	captured := prof.b.Elapsed("calibration")
-	prof.enabled = false
+	prof.enabled.Store(false)
 	if wall > captured {
 		prof.overhead = (wall - captured) / n
 	}
@@ -92,22 +96,30 @@ func calibrateOnce() {
 // StopProfile stops collecting. The breakdown returned by StartProfile
 // holds the accumulated exclusive times.
 func StopProfile() {
-	prof.enabled = false
+	prof.enabled.Store(false)
 	prof.stack = prof.stack[:0]
 }
 
 // ProfileEnabled reports whether a profile is being collected.
-func ProfileEnabled() bool { return prof.enabled }
+func ProfileEnabled() bool { return prof.enabled.Load() }
 
 func profEnter(name string) {
-	if !prof.enabled {
+	if !prof.enabled.Load() {
 		return
 	}
 	prof.stack = append(prof.stack, profFrame{name: name, start: time.Now()})
 }
 
 func profExit() {
-	if !prof.enabled || len(prof.stack) == 0 {
+	if prof.enabled.Load() {
+		profPop()
+	}
+}
+
+// profPop closes the innermost frame; kept out of profExit so the
+// disabled path inlines into the kernels.
+func profPop() {
+	if len(prof.stack) == 0 {
 		return
 	}
 	top := prof.stack[len(prof.stack)-1]

@@ -159,7 +159,8 @@ func runTable8(cfg *Config) (*Report, error) {
 	return &Report{ID: "table8", Title: "Top RSA functions", Tables: []*perf.Table{t},
 		Notes: []string{
 			"exclusive (self) time per function, like the paper's flat Oprofile report",
-			"the paper's high bn_sub_words share comes from OpenSSL's Karatsuba multiplication; this library uses schoolbook multiplication, so that time appears under bn_mul_add_words instead",
+			"the paper's high bn_sub_words share comes from OpenSSL's Karatsuba recursing down to 8-word kernels; RSA-1024's CRT halves are 16 limbs, which stay schoolbook at this library's default cutoff of 16, so that time appears under bn_mul_add_words instead (ablation-mul lowers the cutoff to 8)",
+			"BN_sqr carries the squaring's doubling and diagonal, as in OpenSSL's BN_sqr; bn_sub_words here is mostly the constant-time final subtraction every Montgomery reduction runs",
 		}}, nil
 }
 

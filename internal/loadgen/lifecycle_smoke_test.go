@@ -58,8 +58,18 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The client's Handshake returns once it has read the server's
+	// Finished, which can be before the server goroutine records the
+	// established transition, so wait for that transition (bounded)
+	// rather than racing it.
 	var connsSnap lifecycle.Snapshot
-	getJSON(t, web.URL+"/debug/conns?state=established", &connsSnap)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		connsSnap = lifecycle.Snapshot{}
+		getJSON(t, web.URL+"/debug/conns?state=established", &connsSnap)
+		if len(connsSnap.Conns) > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if connsSnap.Live < 1 || len(connsSnap.Conns) < 1 {
 		t.Fatalf("live table empty with a connection held open: %+v", connsSnap)
 	}
